@@ -152,10 +152,13 @@ impl Client {
         }
     }
 
-    /// Fetches the latest end-of-epoch checkpoint blob.
+    /// Fetches the latest end-of-epoch checkpoint blob. The server encodes
+    /// it on the first request of each epoch and proves it loads back before
+    /// answering.
     ///
     /// # Errors
-    /// Wire failures; `Remote{BadState}` before the first epoch completes.
+    /// Wire failures; `Remote{BadState}` before the first epoch completes;
+    /// `Remote{Internal}` if the checkpoint failed to encode or load back.
     pub fn get_checkpoint(&mut self) -> Result<(u64, Vec<u8>), NetError> {
         match self.call(&Request::GetCheckpoint)? {
             Response::CheckpointBlob { epochs_done, bytes } => Ok((epochs_done, bytes)),

@@ -33,7 +33,7 @@ use sketchml_ml::{Checkpoint, GlmModel, Instance, OptimizerState, SparseVector};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Everything a serve session needs; the server is the single config
@@ -215,6 +215,40 @@ struct Counters {
     backpressure: AtomicU64,
     refused_conns: AtomicU64,
     inflight: AtomicU64,
+    checkpoint_encodes: AtomicU64,
+}
+
+/// One end-of-epoch training state. The trainer only clones the state in;
+/// the first `GetCheckpoint` of the epoch serializes it and proves the bytes
+/// load back, and every later request of the epoch reuses that outcome.
+struct EpochCheckpoint {
+    state: Checkpoint,
+    encoded: OnceLock<Result<Vec<u8>, String>>,
+}
+
+impl EpochCheckpoint {
+    fn new(state: Checkpoint) -> Self {
+        EpochCheckpoint {
+            state,
+            encoded: OnceLock::new(),
+        }
+    }
+
+    /// The serialized checkpoint, encoded and load-checked on first use.
+    fn bytes(&self, counters: &Counters) -> Result<&[u8], &str> {
+        self.encoded
+            .get_or_init(|| {
+                counters.checkpoint_encodes.fetch_add(1, Ordering::Relaxed);
+                let bytes = self
+                    .state
+                    .to_bytes()
+                    .map_err(|e| format!("checkpoint: {e}"))?;
+                Checkpoint::from_bytes(&bytes).map_err(|e| format!("checkpoint reload: {e}"))?;
+                Ok(bytes)
+            })
+            .as_deref()
+            .map_err(String::as_str)
+    }
 }
 
 /// Shared state between the runtime threads and [`ServerHandle`].
@@ -225,8 +259,8 @@ struct Shared {
     queue: PushQueue,
     counters: Counters,
     shutdown: AtomicBool,
-    /// Latest end-of-epoch checkpoint: `(epochs_done, serialized bytes)`.
-    checkpoint: Mutex<Option<(u64, Vec<u8>)>>,
+    /// Latest end-of-epoch checkpoint, serialized lazily on request.
+    checkpoint: Mutex<Option<Arc<EpochCheckpoint>>>,
     summary: Mutex<Option<ServeSummary>>,
     cost: CostModel,
     /// Live connections by id: shutdown closes them so handler threads
@@ -280,6 +314,7 @@ impl Shared {
             stale_pushes: u64,
             backpressure_rejects: u64,
             refused_connections: u64,
+            checkpoint_encodes: u64,
             summary: Option<ServeSummary>,
         }
         let snap = self.store.snapshot();
@@ -302,6 +337,7 @@ impl Shared {
             stale_pushes: c.stale_pushes.load(Ordering::Relaxed),
             backpressure_rejects: c.backpressure.load(Ordering::Relaxed),
             refused_connections: c.refused_conns.load(Ordering::Relaxed),
+            checkpoint_encodes: c.checkpoint_encodes.load(Ordering::Relaxed),
             summary,
         };
         serde_json::to_string(&stats).unwrap_or_else(|_| "{}".into())
@@ -659,13 +695,13 @@ fn handle_request(
             } else {
                 shared.store.snapshot()
             };
-            Response::Model {
-                round: snap.round,
-                epoch: snap.epoch,
-                done: snap.done,
-                weights: snap.model.weights.clone(),
-            }
-            .write_to(writer)?;
+            Response::write_model_to(
+                writer,
+                snap.round,
+                snap.epoch,
+                snap.done,
+                &snap.model.weights,
+            )?;
         }
         Request::PushGradient {
             worker,
@@ -727,18 +763,23 @@ fn handle_request(
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .clone();
-            match ck {
-                Some((epochs_done, bytes)) => {
-                    Response::CheckpointBlob { epochs_done, bytes }.write_to(writer)?;
-                }
-                None => {
-                    Response::Error {
-                        code: ErrorCode::BadState,
-                        message: "no checkpoint captured yet".into(),
-                    }
-                    .write_to(writer)?;
-                }
-            }
+            let resp = match ck.as_deref() {
+                None => Response::Error {
+                    code: ErrorCode::BadState,
+                    message: "no checkpoint captured yet".into(),
+                },
+                Some(ck) => match ck.bytes(&shared.counters) {
+                    Ok(bytes) => Response::CheckpointBlob {
+                        epochs_done: ck.state.epochs_done as u64,
+                        bytes: bytes.to_vec(),
+                    },
+                    Err(message) => Response::Error {
+                        code: ErrorCode::Internal,
+                        message: message.into(),
+                    },
+                },
+            };
+            resp.write_to(writer)?;
         }
         Request::GetStats => {
             Response::Stats {
@@ -819,7 +860,8 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
 
     'epochs: for epoch in 1..=spec.max_epochs {
         let batches = batcher.epoch();
-        for _batch in &batches {
+        let last_epoch = epoch == spec.max_epochs;
+        for (i, _batch) in batches.iter().enumerate() {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break 'epochs;
             }
@@ -846,10 +888,22 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
             if setup.round_sleep_ms > 0 {
                 std::thread::sleep(Duration::from_millis(setup.round_sleep_ms));
             }
+            let epoch_end = i + 1 == batches.len();
+            if epoch_end {
+                // End-of-epoch checkpoint, stored before the round is
+                // published so a pull that sees the epoch's last round can
+                // always fetch it. Only the clone happens here; the JSON
+                // encode and load-back check wait for a `GetCheckpoint`.
+                let ck = Checkpoint::new(model.clone(), opt.clone(), epoch);
+                *shared.checkpoint.lock().unwrap_or_else(|e| e.into_inner()) =
+                    Some(Arc::new(EpochCheckpoint::new(ck)));
+            }
+            // The final round goes out `done`, so no worker computes and
+            // pushes a gradient for a round that will never be aggregated.
             shared.store.publish(ModelSnapshot {
                 round,
                 epoch: (epoch - 1) as u32,
-                done: false,
+                done: last_epoch && epoch_end,
                 model: model.clone(),
             });
         }
@@ -857,20 +911,11 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
         let test_loss = model.mean_loss(&test);
         summary.final_test_loss = test_loss;
         summary.best_test_loss = summary.best_test_loss.min(test_loss);
-        // End-of-epoch checkpoint: real serialized bytes a kill -9'd worker
-        // pulls to recover (the server proves they load before serving).
-        let ck = Checkpoint::new(model.clone(), opt.clone(), epoch);
-        let bytes = ck
-            .to_bytes()
-            .map_err(|e| NetError::InvalidConfig(format!("checkpoint: {e}")))?;
-        Checkpoint::from_bytes(&bytes)
-            .map_err(|e| NetError::InvalidConfig(format!("checkpoint reload: {e}")))?;
-        *shared.checkpoint.lock().unwrap_or_else(|e| e.into_inner()) = Some((epoch as u64, bytes));
         // Re-publish with the completed-epoch count so pulls see progress.
         shared.store.publish(ModelSnapshot {
             round,
             epoch: epoch as u32,
-            done: false,
+            done: last_epoch,
             model: model.clone(),
         });
     }
@@ -948,4 +993,177 @@ fn collect_round(shared: &Arc<Shared>, round: u64) -> Result<Vec<WorkerMessage>,
             measured_compute: 0.0,
         })
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{run_worker, Client};
+    use sketchml_core::SparseGradient;
+    use sketchml_data::Task;
+    use sketchml_ml::GlmLoss;
+
+    fn setup(epochs: usize) -> ServeSetup {
+        let dataset = SparseDatasetSpec {
+            name: "loopback".into(),
+            instances: 400,
+            features: 512,
+            avg_nnz: 8,
+            skew: 1.1,
+            label_noise: 0.05,
+            task: Task::Classification,
+            seed: 11,
+        };
+        let mut spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, epochs);
+        spec.seed = 7;
+        let mut s = ServeSetup::new(dataset, spec, 1);
+        s.round_timeout_ms = 30_000;
+        s.idle_timeout_ms = 30_000;
+        s
+    }
+
+    fn rounds_per_epoch(setup: &ServeSetup) -> u64 {
+        let (train, _) = setup.dataset.generate_split();
+        Batcher::new(train.len(), setup.batch_ratio, setup.spec.seed).batches_per_epoch() as u64
+    }
+
+    fn encodes(server: &Server) -> u64 {
+        server
+            .shared
+            .counters
+            .checkpoint_encodes
+            .load(Ordering::Relaxed)
+    }
+
+    /// Plays worker 0 for rounds `from..to` with one fixed gradient.
+    fn push_rounds(client: &mut Client, from: u64, to: u64) {
+        let grad = SparseGradient::new(512, vec![1, 5, 9], vec![0.5, -0.25, 0.125]).unwrap();
+        let payload = compressor_by_name("sketchml")
+            .unwrap()
+            .compress(&grad)
+            .unwrap()
+            .payload
+            .to_vec();
+        for round in from..to {
+            assert_eq!(client.pull_model(0, round, true).unwrap().round, round);
+            let (status, _) = client
+                .push_gradient(0, round, 1.0, 4, payload.clone())
+                .unwrap();
+            assert_eq!(status, PushStatus::Accepted, "round {round}");
+        }
+    }
+
+    fn assert_same_bits(a: &[f64], b: &[f64]) {
+        assert_eq!(a.len(), b.len());
+        assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    #[test]
+    fn final_round_is_published_done_so_every_push_is_a_round() {
+        for run in 0..5 {
+            let server = Server::bind_tcp(setup(2), "127.0.0.1:0").unwrap();
+            let stats = run_worker(server.addr(), 0).unwrap();
+            let summary = server.wait_trained();
+            let c = &server.shared.counters;
+            let (pulls, requests) = (
+                c.pulls.load(Ordering::Relaxed),
+                c.requests.load(Ordering::Relaxed),
+            );
+            server.shutdown();
+            server.join();
+            assert!(!summary.aborted, "run {run}");
+            assert_eq!(stats.pushes_accepted, summary.rounds, "run {run}");
+            assert_eq!(stats.pushes_stale, 0, "run {run}");
+            // One fresh-join pull, one per round, one that sees `done`.
+            assert_eq!(pulls, summary.rounds + 2, "run {run}");
+            // GetConfig, the pulls, and one push per round: no push for a
+            // round past the end, whatever answer it would have got.
+            assert_eq!(requests, 1 + pulls + summary.rounds, "run {run}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_is_encoded_on_request_once_per_epoch() {
+        let setup = setup(2);
+        let rpe = rounds_per_epoch(&setup);
+        let server = Server::bind_tcp(setup, "127.0.0.1:0").unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        assert!(matches!(
+            client.get_checkpoint(),
+            Err(NetError::Remote {
+                code: ErrorCode::BadState,
+                ..
+            })
+        ));
+
+        push_rounds(&mut client, 0, rpe);
+        let end_of_epoch = client.pull_model(0, rpe, true).unwrap();
+        assert_eq!((end_of_epoch.round, end_of_epoch.done), (rpe, false));
+        assert_eq!(encodes(&server), 0, "the trainer must not serialize");
+
+        let (epochs_done, bytes) = client.get_checkpoint().unwrap();
+        assert_eq!(epochs_done, 1);
+        let ck = Checkpoint::from_bytes(&bytes).unwrap();
+        assert_eq!(ck.epochs_done, 1);
+        assert_same_bits(&ck.model.weights, &end_of_epoch.weights);
+        assert_eq!(client.get_checkpoint().unwrap(), (1, bytes.clone()));
+        let mut other = Client::connect(server.addr()).unwrap();
+        assert_eq!(other.get_checkpoint().unwrap(), (1, bytes));
+        assert_eq!(encodes(&server), 1, "one epoch, one encode");
+
+        push_rounds(&mut client, rpe, 2 * rpe);
+        assert!(client.pull_model(0, 2 * rpe, true).unwrap().done);
+        let summary = server.wait_trained();
+        assert_eq!(summary.rounds, 2 * rpe);
+        let (epochs_done, bytes) = client.get_checkpoint().unwrap();
+        assert_eq!(epochs_done, 2);
+        let ck = Checkpoint::from_bytes(&bytes).unwrap();
+        assert_same_bits(&ck.model.weights, &server.store().snapshot().model.weights);
+        assert_eq!(encodes(&server), 2);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn checkpoint_failure_is_a_typed_error_and_nothing_dies() {
+        let setup = setup(1);
+        let dim = setup.dataset.features as usize;
+        let opt = OptimizerState::build(setup.spec.optimizer, setup.spec.opt_state, dim).unwrap();
+        let server = Server::bind_tcp(setup, "127.0.0.1:0").unwrap();
+        // An empty model serializes fine but fails the load-back check.
+        let mut model = server.store().snapshot().model.clone();
+        model.weights.clear();
+        *server.shared.checkpoint.lock().unwrap() = Some(Arc::new(EpochCheckpoint::new(
+            Checkpoint::new(model, opt, 1),
+        )));
+
+        let mut client = Client::connect(server.addr()).unwrap();
+        for _ in 0..2 {
+            match client.get_checkpoint() {
+                Err(NetError::Remote {
+                    code: ErrorCode::Internal,
+                    message,
+                }) => assert!(message.contains("checkpoint"), "{message}"),
+                other => panic!(
+                    "expected an Internal error, got {:?}",
+                    other.map(|(epochs, bytes)| (epochs, bytes.len()))
+                ),
+            }
+        }
+        assert_eq!(encodes(&server), 1, "the failure is cached for the epoch");
+        // Same connection still serves; the trainer still trains.
+        assert!(client
+            .get_stats()
+            .unwrap()
+            .contains("\"checkpoint_encodes\":1"));
+        let stats = run_worker(server.addr(), 0).unwrap();
+        let summary = server.wait_trained();
+        assert!(!summary.aborted);
+        assert_eq!(stats.pushes_accepted, summary.rounds);
+        let (epochs_done, bytes) = client.get_checkpoint().unwrap();
+        assert_eq!(epochs_done, 1);
+        assert!(Checkpoint::from_bytes(&bytes).is_ok());
+        server.shutdown();
+        server.join();
+    }
 }

@@ -254,6 +254,17 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
     }
 
+    /// A u32-counted block of f64s, bounds-checked once and decoded in one
+    /// pass.
+    fn f64s(&mut self) -> Result<Vec<f64>, NetError> {
+        let n = self.count(8)?;
+        Ok(self
+            .take(8 * n)?
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8B")))
+            .collect())
+    }
+
     /// A u32-length-prefixed byte section.
     fn bytes(&mut self) -> Result<Vec<u8>, NetError> {
         let n = self.u32()? as usize;
@@ -292,6 +303,16 @@ impl<'a> Cursor<'a> {
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
+}
+
+/// Appends a u32 count followed by the f64s, sizing `out` once.
+fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    let start = out.len();
+    out.resize(start + 8 * values.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 // --- framing ---------------------------------------------------------------
@@ -473,26 +494,14 @@ impl Response {
                 epoch,
                 done,
                 weights,
-            } => {
-                body.extend_from_slice(&round.to_le_bytes());
-                body.extend_from_slice(&epoch.to_le_bytes());
-                body.push(u8::from(*done));
-                body.extend_from_slice(&(weights.len() as u32).to_le_bytes());
-                for w in weights {
-                    body.extend_from_slice(&w.to_le_bytes());
-                }
-                K_MODEL
-            }
+            } => return Response::write_model_to(w, *round, *epoch, *done, weights),
             Response::PushAck { status, round } => {
                 body.push(status.to_u8());
                 body.extend_from_slice(&round.to_le_bytes());
                 K_PUSH_ACK
             }
             Response::Prediction { scores } => {
-                body.extend_from_slice(&(scores.len() as u32).to_le_bytes());
-                for s in scores {
-                    body.extend_from_slice(&s.to_le_bytes());
-                }
+                put_f64s(&mut body, scores);
                 K_PREDICTION
             }
             Response::CheckpointBlob { epochs_done, bytes } => {
@@ -514,6 +523,28 @@ impl Response {
         write_frame(w, kind, &body)
     }
 
+    /// Writes a [`Response::Model`] frame straight from borrowed weights,
+    /// byte-identical to building the variant and calling
+    /// [`write_to`](Self::write_to) but without copying the weight vector
+    /// into an owned response first.
+    ///
+    /// # Errors
+    /// As [`write_to`](Self::write_to).
+    pub fn write_model_to(
+        w: &mut impl Write,
+        round: u64,
+        epoch: u32,
+        done: bool,
+        weights: &[f64],
+    ) -> Result<(), NetError> {
+        let mut body = Vec::with_capacity(8 + 4 + 1 + 4 + 8 * weights.len());
+        body.extend_from_slice(&round.to_le_bytes());
+        body.extend_from_slice(&epoch.to_le_bytes());
+        body.push(u8::from(done));
+        put_f64s(&mut body, weights);
+        write_frame(w, K_MODEL, &body)
+    }
+
     /// Reads and decodes one response frame.
     ///
     /// # Errors
@@ -525,22 +556,12 @@ impl Response {
         let resp = match kind {
             K_HELLO_ACK => Response::HelloAck { version: c.u16()? },
             K_CONFIG => Response::Config { json: c.string()? },
-            K_MODEL => {
-                let round = c.u64()?;
-                let epoch = c.u32()?;
-                let done = c.u8()? != 0;
-                let n = c.count(8)?;
-                let mut weights = Vec::with_capacity(n);
-                for _ in 0..n {
-                    weights.push(c.f64()?);
-                }
-                Response::Model {
-                    round,
-                    epoch,
-                    done,
-                    weights,
-                }
-            }
+            K_MODEL => Response::Model {
+                round: c.u64()?,
+                epoch: c.u32()?,
+                done: c.u8()? != 0,
+                weights: c.f64s()?,
+            },
             K_PUSH_ACK => {
                 let raw = c.u8()?;
                 let status = PushStatus::from_u8(raw)
@@ -550,14 +571,7 @@ impl Response {
                     round: c.u64()?,
                 }
             }
-            K_PREDICTION => {
-                let n = c.count(8)?;
-                let mut scores = Vec::with_capacity(n);
-                for _ in 0..n {
-                    scores.push(c.f64()?);
-                }
-                Response::Prediction { scores }
-            }
+            K_PREDICTION => Response::Prediction { scores: c.f64s()? },
             K_CHECKPOINT_BLOB => Response::CheckpointBlob {
                 epochs_done: c.u64()?,
                 bytes: c.bytes()?,

@@ -231,3 +231,88 @@ fn byte_at_a_time_delivery_reassembles() {
     reader.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());
 }
+
+/// A `Model` response's wire bytes.
+fn model_bytes(weights: &[f64]) -> Vec<u8> {
+    response_bytes(&Response::Model {
+        round: 9,
+        epoch: 2,
+        done: true,
+        weights: weights.to_vec(),
+    })
+}
+
+#[test]
+fn borrowed_model_writer_matches_the_owned_response() {
+    let cases: [Vec<f64>; 4] = [
+        vec![],
+        vec![0.5],
+        (0..257).map(|i| i as f64 / 7.0 - 3.0).collect(),
+        vec![f64::NAN, -0.0, f64::INFINITY, f64::MIN_POSITIVE, f64::MAX],
+    ];
+    for weights in cases {
+        let mut borrowed = Vec::new();
+        Response::write_model_to(&mut borrowed, 9, 2, true, &weights).unwrap();
+        assert_eq!(borrowed, model_bytes(&weights), "{} weights", weights.len());
+        // Header, round, epoch, done flag, count, then 8 bytes per weight.
+        assert_eq!(borrowed.len(), 6 + 8 + 4 + 1 + 4 + 8 * weights.len());
+        let Response::Model { weights: back, .. } =
+            Response::read_from(&mut borrowed.as_slice()).unwrap()
+        else {
+            panic!("wrong variant");
+        };
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&weights));
+    }
+}
+
+#[test]
+fn forged_or_truncated_weight_blocks_fail_typed_at_every_split() {
+    let weights: Vec<f64> = (0..32).map(|i| i as f64 * 0.5 - 4.0).collect();
+    let good = model_bytes(&weights);
+    let count_at = 6 + 8 + 4 + 1;
+    // Re-frames an edited body so the outer length prefix stays consistent
+    // and only the weight block itself is wrong.
+    let reframe = |body: &[u8]| {
+        let mut frame = good[..2].to_vec();
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(body);
+        frame
+    };
+    let with_count = |n: u32| {
+        let mut body = good[6..].to_vec();
+        body[count_at - 6..count_at - 2].copy_from_slice(&n.to_le_bytes());
+        reframe(&body)
+    };
+    let cases = [
+        ("count one past the block", with_count(33)),
+        ("count u32::MAX", with_count(u32::MAX)),
+        ("count one short of the block", with_count(31)),
+        ("block cut mid-weight", reframe(&good[6..good.len() - 3])),
+        (
+            "block cut a whole weight short",
+            reframe(&good[6..good.len() - 8]),
+        ),
+    ];
+    for (name, frame) in cases {
+        for split in 0..=frame.len() {
+            let (sender, receiver) = UnixStream::pair().unwrap();
+            let writer = split_write(sender, frame.clone(), split);
+            let mut reader = BufReader::new(receiver);
+            match Response::read_from(&mut reader) {
+                Err(NetError::Protocol(_)) => {}
+                Ok(_) => panic!("{name}, split at byte {split}: decoded"),
+                Err(other) => panic!("{name}, split at byte {split}: wrong error class {other}"),
+            }
+            writer.join().unwrap();
+        }
+    }
+    // A stream that ends inside the weight block is an Io error at every cut.
+    for cut in count_at + 4..good.len() {
+        let (mut sender, receiver) = UnixStream::pair().unwrap();
+        sender.write_all(&good[..cut]).unwrap();
+        drop(sender);
+        let err = Response::read_from(&mut BufReader::new(receiver)).unwrap_err();
+        assert!(matches!(err, NetError::Io(_)), "cut at byte {cut}: {err}");
+    }
+}
